@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
@@ -30,7 +31,7 @@ func BenchmarkObjective(b *testing.B) {
 		p := partition.NewFree(nl.H, k, 0.05)
 		rng := rand.New(rand.NewPCG(seed, 0x0b7))
 		t0 := time.Now()
-		res, err := multilevel.MultistartKWay(p, multilevel.Config{Objective: obj}, starts, rng)
+		res, err := multilevel.Solve(context.Background(), p, multilevel.Config{Objective: obj, Workers: 1}, multilevel.Plan{Starts: starts, Seed: rng.Uint64(), Direct: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,6 +14,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -564,8 +565,8 @@ func TestBenchHarnessSmoke(t *testing.T) {
 }
 
 // BenchmarkMultistart measures the deterministic multistart engine: one
-// serial Multistart baseline plus ParallelMultistart at several worker
-// counts, all computing the identical 8-start result. Worker-scaling rows run
+// serial (Workers: 1) Solve baseline plus ParallelMultistart at several
+// worker counts, all computing the identical 8-start result. Worker-scaling rows run
 // with GOMAXPROCS raised to the worker count but never past runtime.NumCPU():
 // raising it above the physical core count does not buy parallelism — it
 // adds time-slicing and extra GC worker scheduling, which is exactly what
@@ -595,7 +596,7 @@ func BenchmarkMultistart(b *testing.B) {
 		var res *multilevel.Result
 		var err error
 		if workers == 0 {
-			res, err = multilevel.Multistart(p, multilevel.Config{}, starts, rng)
+			res, err = multilevel.Solve(context.Background(), p, multilevel.Config{Workers: 1}, multilevel.Plan{Starts: starts, Seed: rng.Uint64()})
 		} else {
 			res, err = multilevel.ParallelMultistart(p, multilevel.Config{Workers: workers}, starts, rng)
 		}
@@ -705,7 +706,7 @@ func BenchmarkSharedMultistart(b *testing.B) {
 	runUnshared := func(seed uint64, st *multilevel.PhaseStats) (*multilevel.Result, time.Duration) {
 		rng := rand.New(rand.NewPCG(seed, 17))
 		t0 := time.Now()
-		res, err := multilevel.Multistart(p, multilevel.Config{Stats: st}, starts, rng)
+		res, err := multilevel.Solve(context.Background(), p, multilevel.Config{Stats: st, Workers: 1}, multilevel.Plan{Starts: starts, Seed: rng.Uint64()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -714,7 +715,7 @@ func BenchmarkSharedMultistart(b *testing.B) {
 	runShared := func(seed uint64, st *multilevel.PhaseStats) (*multilevel.Result, time.Duration) {
 		rng := rand.New(rand.NewPCG(seed, 17))
 		t0 := time.Now()
-		res, err := multilevel.SharedMultistart(p, multilevel.Config{Stats: st}, starts, hierarchies, rng)
+		res, err := multilevel.Solve(context.Background(), p, multilevel.Config{Stats: st, Workers: 1}, multilevel.Plan{Starts: starts, Hierarchies: hierarchies, Seed: rng.Uint64()})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -67,6 +67,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -149,6 +150,11 @@ func main() {
 	flag.Parse()
 	if o.base == "" && o.hgrPath == "" {
 		fmt.Fprintln(os.Stderr, "hpart: one of -base and -hgr is required")
+		flag.Usage()
+		os.Exit(2)
+	}
+	if o.starts < 1 {
+		fmt.Fprintf(os.Stderr, "hpart: -starts must be at least 1, got %d\n", o.starts)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -266,20 +272,15 @@ func run(o options) error {
 		}
 		cfg := multilevel.Config{Objective: obj, MaxPassFraction: passFraction(o.cutoff), Workers: o.workers, CoarsenWorkers: coarsenWorkers, RefineWorkers: refineWorkers, LocalizedFMWorkers: localizedWorkers, Stats: phases}
 		switch {
-		case p.K == 2 && o.shared:
-			res, err := multilevel.ParallelSharedMultistart(p, cfg, o.starts, o.hierarchies, rng)
-			if err != nil {
-				return err
+		case p.K == 2 || o.kway == "direct":
+			plan := multilevel.Plan{Starts: o.starts, Seed: rng.Uint64(), Direct: p.K > 2}
+			if o.shared {
+				plan.Hierarchies = o.hierarchies
+				if plan.Hierarchies < 1 {
+					plan.Hierarchies = (o.starts + 3) / 4
+				}
 			}
-			best, score = res.Assignment, res.Score
-		case p.K == 2:
-			res, err := multilevel.ParallelMultistart(p, cfg, o.starts, rng)
-			if err != nil {
-				return err
-			}
-			best, score = res.Assignment, res.Score
-		case o.kway == "direct":
-			res, err := multilevel.ParallelMultistartKWay(p, cfg, o.starts, rng)
+			res, err := multilevel.Solve(context.Background(), p, cfg, plan)
 			if err != nil {
 				return err
 			}

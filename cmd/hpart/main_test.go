@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"math/rand/v2"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -178,6 +181,35 @@ func TestRunErrors(t *testing.T) {
 	frac.fixFraction = 1.5
 	if err := run(frac); err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
 		t.Errorf("run(-fix-fraction 1.5) = %v, want range error", err)
+	}
+}
+
+// TestStartsUsageExit runs main in a child process (the test binary
+// re-executed with HPART_TEST_MAIN holding hpart's arguments) and checks
+// that -starts below 1 is a usage error: exit status 2 before any input is
+// read, for every engine and -kway mode that used to accept it.
+func TestStartsUsageExit(t *testing.T) {
+	if args := os.Getenv("HPART_TEST_MAIN"); args != "" {
+		os.Args = append([]string{"hpart"}, strings.Fields(args)...)
+		flag.CommandLine = flag.NewFlagSet("hpart", flag.ExitOnError)
+		main()
+		return
+	}
+	for _, args := range []string{
+		"-hgr missing.hgr -starts 0",
+		"-hgr missing.hgr -starts -1 -engine clip",
+		"-hgr missing.hgr -k 4 -starts 0 -kway rb",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestStartsUsageExit$")
+		cmd.Env = append(os.Environ(), "HPART_TEST_MAIN="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("hpart %s: err = %v, want exit status 2\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "-starts must be at least 1") {
+			t.Errorf("hpart %s: output lacks the usage message:\n%s", args, out)
+		}
 	}
 }
 

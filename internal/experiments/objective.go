@@ -59,7 +59,7 @@ func ObjectiveStudy(name string, h *hypergraph.Hypergraph, ks []int, cfg SweepCo
 	var cells []cell
 	for _, k := range ks {
 		base := partition.NewFree(h, k, cfg.Tolerance)
-		ref, err := multilevel.ParallelMultistartKWay(base, withWorkers(cfg.ML, cfg.Workers), cfg.GoodStarts, rng)
+		ref, err := multistart(base, withWorkers(cfg.ML, cfg.Workers), multilevel.Plan{Starts: cfg.GoodStarts, Direct: true}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: objective study reference (k=%d): %w", k, err)
 		}
@@ -80,14 +80,15 @@ func ObjectiveStudy(name string, h *hypergraph.Hypergraph, ks []int, cfg SweepCo
 		// Both optimizers run on a fresh RNG with the same derivation, so
 		// they evaluate the identical candidate starts and differ only in
 		// which one they keep.
-		cutCfg, km1Cfg := cfg.ML, cfg.ML
+		cutCfg, km1Cfg := withWorkers(cfg.ML, 1), withWorkers(cfg.ML, 1)
 		cutCfg.Objective = fm.ObjectiveCut
 		km1Cfg.Objective = fm.ObjectiveKM1
-		c.cut, c.err = multilevel.MultistartKWay(c.prob, cutCfg, objectiveStarts, rand.New(rand.NewPCG(cellSeed, uint64(i))))
+		plan := multilevel.Plan{Starts: objectiveStarts, Direct: true}
+		c.cut, c.err = multistart(c.prob, cutCfg, plan, rand.New(rand.NewPCG(cellSeed, uint64(i))))
 		if c.err != nil {
 			return
 		}
-		c.km1, c.err = multilevel.MultistartKWay(c.prob, km1Cfg, objectiveStarts, rand.New(rand.NewPCG(cellSeed, uint64(i))))
+		c.km1, c.err = multistart(c.prob, km1Cfg, plan, rand.New(rand.NewPCG(cellSeed, uint64(i))))
 	})
 	var rows []ObjectiveRow
 	i := 0

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"time"
@@ -47,8 +48,8 @@ type SweepConfig struct {
 	// negative values force the stage off even if ML asked for it. Zero
 	// leaves ML.LocalizedFMWorkers as given.
 	LocalizedFMWorkers int
-	// SharedHierarchies, when positive, runs each multistart cell through
-	// multilevel.SharedMultistart with that many coarsening hierarchies:
+	// SharedHierarchies, when positive, runs each multistart cell as a
+	// shared-hierarchy multilevel.Solve with that many coarsening hierarchies:
 	// cheaper sweeps at a small cut penalty from follower descents. Zero
 	// keeps the paper's protocol of fully independent starts.
 	SharedHierarchies int
@@ -130,7 +131,7 @@ func RunSweep(name string, h *hypergraph.Hypergraph, cfg SweepConfig) (*SweepRes
 	base := partition.NewBipartition(h, cfg.Tolerance)
 
 	// Best-known solution of the unconstrained instance ("good" reference).
-	best, err := multilevel.ParallelMultistart(base, withWorkers(cfg.ML, cfg.Workers), cfg.GoodStarts, rng)
+	best, err := multistart(base, withWorkers(cfg.ML, cfg.Workers), multilevel.Plan{Starts: cfg.GoodStarts}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: finding good solution for %s: %w", name, err)
 	}
@@ -217,21 +218,20 @@ func RunSweep(name string, h *hypergraph.Hypergraph, cfg SweepConfig) (*SweepRes
 
 // runCells executes the jobs concurrently. Job i's RNG derives from
 // (cellSeed, i), so the outcome of every cell is independent of scheduling.
-// With sharedHierarchies > 0, multistart cells amortise coarsening through
-// multilevel.SharedMultistart (single-start cells gain nothing from sharing
-// and keep the plain path).
+// With sharedHierarchies > 0, multistart cells amortise coarsening over that
+// many shared hierarchies (single-start cells gain nothing from sharing and
+// keep the plain path). Cells already run in parallel, so each cell's starts
+// run serially.
 func runCells(jobs []sweepJob, cellSeed uint64, workers int, ml multilevel.Config, sharedHierarchies int) {
 	par.ForEach(len(jobs), workers, func(i int) {
 		job := &jobs[i]
 		rng := rand.New(rand.NewPCG(cellSeed, uint64(i)))
 		t0 := time.Now()
-		var r *multilevel.Result
-		var err error
+		plan := multilevel.Plan{Starts: job.starts}
 		if sharedHierarchies > 0 && job.starts > 1 {
-			r, err = multilevel.SharedMultistart(job.prob, ml, job.starts, sharedHierarchies, rng)
-		} else {
-			r, err = multilevel.Multistart(job.prob, ml, job.starts, rng)
+			plan.Hierarchies = sharedHierarchies
 		}
+		r, err := multistart(job.prob, withWorkers(ml, 1), plan, rng)
 		job.cpu = time.Since(t0)
 		if err != nil {
 			job.err = err
@@ -247,6 +247,12 @@ func runCells(jobs []sweepJob, cellSeed uint64, workers int, ml multilevel.Confi
 func withWorkers(ml multilevel.Config, workers int) multilevel.Config {
 	ml.Workers = workers
 	return ml
+}
+
+// multistart runs plan without cancellation, drawing its base seed from rng.
+func multistart(p *partition.Problem, ml multilevel.Config, plan multilevel.Plan, rng *rand.Rand) (*multilevel.Result, error) {
+	plan.Seed = rng.Uint64()
+	return multilevel.Solve(context.Background(), p, ml, plan)
 }
 
 // Point returns the sweep point for (regime, fraction, starts), or nil.

@@ -36,6 +36,11 @@ func (s *KernelStats) add(nets, avoided, scanned, updates int64) {
 	atomic.AddInt64(&s.BucketUpdatesSaved, updates)
 }
 
+// Add accumulates o into s atomically.
+func (s *KernelStats) Add(o KernelStats) {
+	s.add(o.NetsSkipped, o.PinScansAvoided, o.PinsScanned, o.BucketUpdatesSaved)
+}
+
 // Snapshot returns an atomically read copy of the counters.
 func (s *KernelStats) Snapshot() KernelStats {
 	return KernelStats{

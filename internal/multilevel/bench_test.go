@@ -122,8 +122,7 @@ func BenchmarkAdaptiveMultistartParallel(b *testing.B) {
 			cfg := multilevel.Config{Workers: workers}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewPCG(1, 1))
-				if _, err := multilevel.ParallelAdaptiveMultistart(p, cfg, 16, 2, rng); err != nil {
+				if _, err := solve(p, cfg, multilevel.Plan{Starts: 16, Patience: 2, Seed: seed(1, 1)}); err != nil {
 					b.Fatal(err)
 				}
 			}

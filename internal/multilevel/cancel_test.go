@@ -11,9 +11,9 @@ import (
 	"repro/internal/partition"
 )
 
-// TestMultistartCtxMatchesUncancelled: with a context that never fires, the
-// context-aware drivers are bit-identical to their plain counterparts, for
-// both nil and Background contexts and across worker counts.
+// TestMultistartCtxMatchesUncancelled: with a context that never fires,
+// Solve is bit-identical to the ParallelMultistart shim, for both nil and
+// Background contexts and across worker counts.
 func TestMultistartCtxMatchesUncancelled(t *testing.T) {
 	p := presetProblem(t, "IBM01S", 0.05, 0.3)
 	cfg := multilevel.Config{}
@@ -25,7 +25,7 @@ func TestMultistartCtxMatchesUncancelled(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			c := cfg
 			c.Workers = workers
-			got, err := multilevel.ParallelMultistartCtx(ctx, p, c, 6, rand.New(rand.NewPCG(7, 7)))
+			got, err := multilevel.Solve(ctx, p, c, multilevel.Plan{Starts: 6, Seed: seed(7, 7)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestMultistartCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		cfg := multilevel.Config{Workers: workers}
-		if _, err := multilevel.ParallelMultistartCtx(ctx, p, cfg, 4, rand.New(rand.NewPCG(1, 1))); err == nil {
+		if _, err := multilevel.Solve(ctx, p, cfg, multilevel.Plan{Starts: 4, Seed: 1}); err == nil {
 			t.Errorf("workers=%d: pre-cancelled context returned a result", workers)
 		}
 	}
@@ -64,7 +64,7 @@ func TestMultistartCtxTruncatedFeasible(t *testing.T) {
 		cancel()
 	}()
 	cfg := multilevel.Config{Workers: 2}
-	res, err := multilevel.ParallelMultistartCtx(ctx, p, cfg, 64, rand.New(rand.NewPCG(3, 3)))
+	res, err := multilevel.Solve(ctx, p, cfg, multilevel.Plan{Starts: 64, Seed: seed(3, 3)})
 	if err != nil {
 		if ctx.Err() == nil {
 			t.Fatalf("run failed for a non-cancellation reason: %v", err)
@@ -83,7 +83,7 @@ func TestMultistartCtxTruncatedFeasible(t *testing.T) {
 	}
 	// The truncated answer must equal an honest serial run over the same
 	// prefix: best of starts [0, res.Starts).
-	want, err := multilevel.ParallelMultistart(p, multilevel.Config{}, res.Starts, rand.New(rand.NewPCG(3, 3)))
+	want, err := solve(p, multilevel.Config{}, multilevel.Plan{Starts: res.Starts, Seed: seed(3, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestBuildHierarchiesPure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := multilevel.MultistartOnHierarchies(context.Background(), a, cfg, 6, 42)
+	ra, err := multilevel.Solve(context.Background(), p, cfg, multilevel.Plan{Starts: 6, Seed: 42, Prebuilt: a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := multilevel.MultistartOnHierarchies(nil, b, cfg, 6, 42)
+	rb, err := multilevel.Solve(nil, p, cfg, multilevel.Plan{Starts: 6, Seed: 42, Prebuilt: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestMultistartOnHierarchiesDeterministic(t *testing.T) {
 	var want *multilevel.Result
 	for _, workers := range []int{1, 2, 8} {
 		cfg := multilevel.Config{Workers: workers}
-		got, err := multilevel.MultistartOnHierarchies(context.Background(), hiers, cfg, 8, 99)
+		got, err := solve(p, cfg, multilevel.Plan{Starts: 8, Seed: 99, Prebuilt: hiers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,15 +150,23 @@ func TestMultistartOnHierarchiesDeterministic(t *testing.T) {
 	// A different refinement config on the same hierarchies must also work
 	// (WithRefinement rebinding) and stay deterministic.
 	cut := multilevel.Config{MaxPassFraction: 0.25}
-	r1, err := multilevel.MultistartOnHierarchies(context.Background(), hiers, cut, 4, 7)
+	r1, err := solve(p, cut, multilevel.Plan{Starts: 4, Seed: 7, Prebuilt: hiers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := multilevel.MultistartOnHierarchies(context.Background(), hiers, cut, 4, 7)
+	r2, err := solve(p, cut, multilevel.Plan{Starts: 4, Seed: 7, Prebuilt: hiers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "rebound refinement", r1, r2)
+	// Prebuilt hierarchies only serve their own root and plain plans.
+	other := presetProblem(t, "IBM01S", 0.05, 0.3)
+	if _, err := solve(other, cut, multilevel.Plan{Starts: 4, Prebuilt: hiers}); err == nil {
+		t.Error("Solve accepted a problem other than the hierarchies' root")
+	}
+	if _, err := solve(p, cut, multilevel.Plan{Starts: 4, Patience: 2, Prebuilt: hiers}); err == nil {
+		t.Error("Solve accepted Patience with prebuilt hierarchies")
+	}
 }
 
 // TestCoarseningFingerprint: refinement-phase knobs do not move the

@@ -114,9 +114,9 @@ func TestPartitionKWayHonorsORMasks(t *testing.T) {
 }
 
 // TestMultistartKWaySerialParallelEquivalence verifies the determinism
-// contract for the direct driver: serial MultistartKWay and
-// ParallelMultistartKWay with 1, 2 and 5 workers all return bit-identical
-// results from the same incoming rng state. Runs under -race in CI.
+// contract for direct k-way plans: Solve with 2 and 5 workers returns
+// results bit-identical to the serial Workers: 1 run for the same seed.
+// Runs under -race in CI.
 func TestMultistartKWaySerialParallelEquivalence(t *testing.T) {
 	for _, k := range []int{3, 4} {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
@@ -128,15 +128,15 @@ func TestMultistartKWaySerialParallelEquivalence(t *testing.T) {
 				p.Fix(g*50, g)
 			}
 			const starts = 6
-			serial, err := multilevel.MultistartKWay(p, multilevel.Config{}, starts, rand.New(rand.NewPCG(77, uint64(k))))
+			plan := multilevel.Plan{Starts: starts, Seed: seed(77, uint64(k)), Direct: true}
+			serial, err := solve(p, multilevel.Config{Workers: 1}, plan)
 			if err != nil {
-				t.Fatalf("MultistartKWay: %v", err)
+				t.Fatalf("serial direct Solve: %v", err)
 			}
-			for _, workers := range []int{1, 2, 5} {
-				cfg := multilevel.Config{Workers: workers}
-				par, err := multilevel.ParallelMultistartKWay(p, cfg, starts, rand.New(rand.NewPCG(77, uint64(k))))
+			for _, workers := range []int{2, 5} {
+				par, err := solve(p, multilevel.Config{Workers: workers}, plan)
 				if err != nil {
-					t.Fatalf("ParallelMultistartKWay(workers=%d): %v", workers, err)
+					t.Fatalf("direct Solve(workers=%d): %v", workers, err)
 				}
 				if par.Cut != serial.Cut || !reflect.DeepEqual(par.Assignment, serial.Assignment) {
 					t.Errorf("workers=%d: parallel result differs from serial (cut %d vs %d)", workers, par.Cut, serial.Cut)

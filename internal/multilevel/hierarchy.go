@@ -14,10 +14,12 @@ import (
 )
 
 // Hierarchy is the product of one coarsening descent: the stack of
-// progressively coarser problems plus the cluster maps between them. It is
-// immutable once built, so many refinement-only descents — serial or
-// concurrent — can share it; that is what SharedMultistart exploits to
-// amortise coarsening (and its contraction cost) over many starts.
+// progressively coarser problems plus the cluster maps between them, and the
+// kind of descent that refines it — 2-way bisection (Partition) or direct
+// k-way (PartitionKWay). It is immutable once built, so many
+// refinement-only descents — serial or concurrent — can share it; that is
+// what shared-hierarchy Solve plans exploit to amortise coarsening (and its
+// contraction cost) over many starts.
 //
 // A Hierarchy is only sound to share between *starts of the same problem and
 // config*. It must not be reused for V-cycling: V-cycles re-coarsen
@@ -26,6 +28,7 @@ import (
 type Hierarchy struct {
 	levels []level
 	cfg    Config // effective config the hierarchy was built with
+	direct bool   // refine with direct k-way FM (+ pairwise sweeps at k > 2)
 }
 
 // Root returns the original (finest) problem.
@@ -37,207 +40,256 @@ func (h *Hierarchy) Levels() int { return len(h.levels) - 1 }
 // Coarsest returns the coarsest problem of the stack.
 func (h *Hierarchy) Coarsest() *partition.Problem { return h.levels[len(h.levels)-1].problem }
 
-// BuildHierarchy runs the coarsening phase of Partition once and returns the
-// resulting hierarchy. Partition(p, cfg, rng) is exactly
-// BuildHierarchy(p, cfg, rng) followed by Descend(rng) on the same rng.
+// BuildHierarchy runs the coarsening phase of one start and returns the
+// resulting hierarchy: a 2-way bisection hierarchy at k = 2, a direct k-way
+// one at k > 2. Partition(p, cfg, rng) at k = 2 and PartitionKWay(p, cfg,
+// rng) at k > 2 are exactly BuildHierarchy(p, cfg, rng) followed by
+// Descend(rng) on the same rng.
 func BuildHierarchy(p *partition.Problem, cfg Config, rng *rand.Rand) (*Hierarchy, error) {
-	if p.K != 2 {
-		return nil, fmt.Errorf("multilevel: BuildHierarchy requires k=2, got k=%d", p.K)
-	}
-	if err := p.Validate(); err != nil {
+	eff, err := prepare(p, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return buildLevels(p, cfg.effective(), bipartitionMaxCluster(p), rng), nil
+	return newHierarchy(p, eff, p.K > 2, rng), nil
 }
 
 // Descend runs one full-refinement start over the hierarchy: initial
 // partitioning at the coarsest feasible level, then FM refinement at every
 // level on the way up. Each call consumes rng exactly as the corresponding
-// phase of Partition does.
-func (h *Hierarchy) Descend(rng *rand.Rand) (*Result, error) { return h.descend(rng, false) }
-
-// bipartitionMaxCluster caps cluster growth well below the part capacity so
-// the coarsest level retains enough granularity near the balance boundary.
-func bipartitionMaxCluster(p *partition.Problem) int64 {
-	maxCluster := p.Balance.Max[0][0] / 20
-	if maxCluster < 1 {
-		maxCluster = 1
-	}
-	return maxCluster
+// phase of Partition (or PartitionKWay) does.
+func (h *Hierarchy) Descend(rng *rand.Rand) (*Result, error) {
+	sc := fm.GetScratch()
+	defer fm.PutScratch(sc)
+	return h.descendWith(rng, false, sc)
 }
 
-// buildLevels runs the coarsening loop on an already-validated problem and
-// effective config.
-func buildLevels(p *partition.Problem, cfg Config, maxCluster int64, rng *rand.Rand) *Hierarchy {
-	h := &Hierarchy{cfg: cfg}
+// prepare validates p and cfg and returns the effective config.
+func prepare(p *partition.Problem, cfg Config) (Config, error) {
+	if err := p.Validate(); err != nil {
+		return cfg, err
+	}
+	if err := cfg.validate(); err != nil {
+		return cfg, err
+	}
+	return cfg.effective(), nil
+}
+
+// newHierarchy runs one coarsening descent of the given kind on an
+// already-validated problem and effective config.
+func newHierarchy(p *partition.Problem, cfg Config, direct bool, rng *rand.Rand) *Hierarchy {
+	levels, _ := buildLevels(p, cfg, maxClusterWeight(p, direct), nil, rng)
+	return &Hierarchy{levels: levels, cfg: cfg, direct: direct}
+}
+
+// maxClusterWeight caps coarse-cluster weight at 1/20 of a part's capacity,
+// so the coarsest level keeps enough granularity near the balance boundary:
+// part 0's capacity for bisection, the tightest part's when tightest is set
+// (direct k-way descents and V-cycles).
+func maxClusterWeight(p *partition.Problem, tightest bool) int64 {
+	m := p.Balance.Max[0][0]
+	for q := 1; tightest && q < p.K; q++ {
+		m = min(m, p.Balance.Max[q][0])
+	}
+	return max(m/20, 1)
+}
+
+// buildLevels is the coarsening loop, run on an already-validated problem
+// and effective config under the coarsen phase timer. A non-nil part
+// restricts merges to vertices of the same part — how a V-cycle re-coarsens
+// around its current solution — and its projection onto the coarsest level
+// is returned.
+func buildLevels(p *partition.Problem, cfg Config, maxCluster int64, part partition.Assignment, rng *rand.Rand) ([]level, partition.Assignment) {
+	levels := []level{{problem: p}}
 	cfg.Stats.track(phaseCoarsen, func() {
-		levels := []level{{problem: p}}
-		curr := p
-		for len(levels) < cfg.MaxLevels {
-			if curr.MovableCount() <= cfg.CoarsestSize {
-				break
-			}
-			coarse, clusterOf, ok := coarsenLevel(cfg.Scheme, curr, nil, maxCluster, cfg.ClusteringRatio, cfg.HugeNetThreshold, cfg.CoarsenWorkers, rng)
+		for curr := p; len(levels) < cfg.MaxLevels && curr.MovableCount() > cfg.CoarsestSize; {
+			coarse, clusterOf, ok := coarsenLevel(cfg.Scheme, curr, part, maxCluster, cfg.ClusteringRatio, cfg.HugeNetThreshold, cfg.CoarsenWorkers, rng)
 			if !ok {
 				break
+			}
+			if part != nil {
+				coarsePart := make(partition.Assignment, coarse.H.NumVertices())
+				for v, c := range clusterOf {
+					coarsePart[c] = part[v]
+				}
+				part = coarsePart
 			}
 			levels[len(levels)-1].clusterOf = clusterOf
 			levels = append(levels, level{problem: coarse})
 			curr = coarse
 		}
-		h.levels = levels
 	})
-	return h
+	return levels, part
 }
 
-// descend runs one refinement start. Owner descents (follower=false) refine
-// with the full configured FM discipline and replay Partition's phases
-// bit-identically; follower descents — extra SharedMultistart starts
+// fmConfig is the FM configuration of cfg's coarsest-level initial
+// partitioning; refinement adds the per-run pass bound (refineConfig).
+func fmConfig(cfg Config) fm.Config {
+	return fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, Stats: kernelStats(cfg.Stats)}
+}
+
+func refineConfig(cfg Config) fm.Config {
+	c := fmConfig(cfg)
+	c.MaxPasses = cfg.RefineMaxPasses
+	return c
+}
+
+// descendWith runs one refinement start on a caller-provided FM scratch (the
+// multistart driver pins one per worker; scratch contents never influence
+// results). Owner descents (follower=false) refine with the full configured
+// FM discipline; follower descents — extra shared-hierarchy starts
 // resampling a hierarchy another start owns — apply cfg.FollowerPassFraction
-// as a pass cutoff during uncoarsening refinement, trading a sliver of
-// per-start quality for a large reduction in per-start cost (the coarsest
-// initial partitioning, where start diversity comes from, stays at full
-// strength). One FM scratch is leased for the whole descent, so neither the
-// initial tries nor the per-level refinements pay the kernel's allocation
-// cost.
-func (h *Hierarchy) descend(rng *rand.Rand, follower bool) (*Result, error) {
-	sc := fm.GetScratch()
-	defer fm.PutScratch(sc)
-	return h.descendWith(rng, follower, sc)
+// as a pass cutoff during uncoarsening, trading a sliver of per-start
+// quality for a large cut in per-start cost (the coarsest initial
+// partitioning, where start diversity comes from, stays at full strength).
+func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (*Result, error) {
+	var a partition.Assignment
+	var start int
+	var err error
+	h.cfg.Stats.track(phaseInit, func() { a, start, err = h.initial(rng, sc) })
+	if err != nil {
+		return nil, err
+	}
+	if start > 0 {
+		fmCfg := refineConfig(h.cfg)
+		if follower {
+			fmCfg.MaxPassFraction = followerPassFraction(h.cfg)
+		}
+		a = project(a, h.levels[start-1].clusterOf)
+		if a, err = h.refineUp(a, start-1, fmCfg, h.direct && h.Root().K > 2, rng, sc); err != nil {
+			return nil, err
+		}
+	}
+	return newResult(h.Root(), a, h.cfg, len(h.levels)-1), nil
 }
 
-// descendWith is descend running on a caller-provided FM scratch, for
-// multistart drivers that pin one scratch per worker across many descents.
-// Scratch contents never influence results, so pinning preserves the
-// determinism contract.
-func (h *Hierarchy) descendWith(rng *rand.Rand, follower bool, sc *fm.Scratch) (*Result, error) {
-	cfg := h.cfg
-	fmCfg := fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, MaxPasses: cfg.RefineMaxPasses, Stats: kernelStats(cfg.Stats)}
-	if follower {
-		fmCfg.MaxPassFraction = followerPassFraction(cfg)
-	}
-	initCfg := fm.Config{Policy: cfg.Policy, Objective: cfg.Objective, MaxPassFraction: cfg.MaxPassFraction, Stats: kernelStats(cfg.Stats)}
-
-	// Initial partitioning at the deepest level that admits a feasible
-	// start; heavy clusters can make the very coarsest level infeasible, in
-	// which case we back off toward finer levels.
-	start := len(h.levels) - 1
-	var a partition.Assignment
-	cfg.Stats.track(phaseInit, func() {
-		for ; start >= 0; start-- {
-			lp := h.levels[start].problem
-			var best *fm.Result
-			for try := 0; try < cfg.InitialTries; try++ {
+// initial partitions the deepest level that admits a feasible start — heavy
+// clusters can make the very coarsest level infeasible, in which case it
+// backs off toward finer levels — and returns the assignment and its level.
+// Bisection hierarchies keep the best of cfg.InitialTries random-start FM
+// runs by Score (at k = 2 every objective coincides with the cut). Direct
+// hierarchies seed each try with a recursive bisection (or a random feasible
+// draw when bisection cannot satisfy the masks), refine it with k-way FM,
+// rank by connectivity — exact for km1 and a historical, bit-identity-
+// preserving tiebreak for cut — and at k > 2 finish with pairwise sweeps.
+func (h *Hierarchy) initial(rng *rand.Rand, sc *fm.Scratch) (partition.Assignment, int, error) {
+	cfg, initCfg := h.cfg, fmConfig(h.cfg)
+	for start := len(h.levels) - 1; start >= 0; start-- {
+		lp := h.levels[start].problem
+		var best partition.Assignment
+		var bestScore int64
+		for try := 0; try < cfg.InitialTries; try++ {
+			var a partition.Assignment
+			var score int64
+			if !h.direct {
 				res, err := fm.RunFromRandomWith(lp, initCfg, rng, sc)
 				if err != nil {
 					break
 				}
-				// At k = 2 every objective coincides with the cut, so this
-				// selection is objective-agnostic (Score == Cut here).
-				if best == nil || res.Score < best.Score {
-					best = res
+				a, score = res.Assignment, res.Score
+			} else if seed, ok := kwayInitial(lp, cfg, rng); ok {
+				if res, err := fm.KWayPartitionWith(lp, seed, initCfg, sc); err == nil {
+					a, score = res.Assignment, res.KMinus1
 				}
 			}
-			if best != nil {
-				a = best.Assignment
-				break
+			if a != nil && (best == nil || score < bestScore) {
+				best, bestScore = a, score
 			}
 		}
-	})
-	if a == nil {
-		return nil, fmt.Errorf("multilevel: no feasible initial solution at any level (instance overconstrained)")
+		if best == nil {
+			continue
+		}
+		if h.direct && lp.K > 2 {
+			a, err := pairwiseRefine(lp, best, initCfg, 2, sc)
+			return a, start, err
+		}
+		return best, start, nil
 	}
+	return nil, 0, fmt.Errorf("multilevel: no feasible initial solution at any level (instance overconstrained)")
+}
 
-	// Uncoarsen: the optional parallel round stage, then (at the finest
-	// level) the localized FM stage, then serial FM polish, per level.
-	for lvl := start - 1; lvl >= 0; lvl-- {
-		a = project(a, h.levels[lvl].clusterOf)
+// refineUp refines a, an assignment of level top, at every level from top
+// down to the root, projecting between levels.
+func (h *Hierarchy) refineUp(a partition.Assignment, top int, fmCfg fm.Config, pairwise bool, rng *rand.Rand, sc *fm.Scratch) (partition.Assignment, error) {
+	for lvl := top; ; lvl-- {
 		var err error
-		if a, err = parallelRounds(h.levels[lvl].problem, a, cfg, rng, sc); err != nil {
+		if a, err = h.refineLevel(lvl, a, fmCfg, pairwise, rng, sc); err != nil {
 			return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
 		}
-		if a, err = localizedRounds(h.levels[lvl].problem, a, cfg, lvl, rng, sc); err != nil {
-			return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
+		if lvl == 0 {
+			return a, nil
 		}
-		lvlCfg := polishConfig(fmCfg, cfg, lvl)
-		cfg.Stats.track(phaseRefine, func() {
-			var res *fm.Result
-			if res, err = fm.BipartitionWith(h.levels[lvl].problem, a, lvlCfg, sc); err == nil {
+		a = project(a, h.levels[lvl-1].clusterOf)
+	}
+}
+
+// refineLevel is the per-level stage list, each stage under its own phase
+// timer:
+//
+//  1. The parallel round stage (Config.RefineWorkers), at every level.
+//  2. The localized FM stage (Config.LocalizedFMWorkers), at the finest
+//     level only — that is where the full-budget serial polish used to
+//     dominate every solve (BENCH_prefine.json); coarse levels are cheap
+//     enough for the round stage plus a one-pass polish.
+//  3. The serial FM polish, 2-way or direct k-way by the hierarchy's kind.
+//     It drops to one pass at coarse levels while the round stage is on —
+//     the rounds replace its repeated passes there, and the remaining pass
+//     contributes the hill-climbing the greedy rounds cannot — and at the
+//     finest level while the localized stage is on, whose searches carry
+//     the hill-climbing there, leaving a short tail that sweeps up whatever
+//     the bounded searches left behind.
+//  4. When pairwise is set, pairwise 2-way sweeps: k-way passes move single
+//     vertices; the pair sweeps recover the 2-way hill-climbing power
+//     recursive bisection gets for free.
+//
+// Each parallel stage, when enabled, draws its commit-order salt from rng
+// with exactly one draw whatever the worker count, so the RNG stream — and
+// therefore every downstream draw — is identical for all worker counts
+// >= 1. Disabled (< 1), a stage consumes nothing.
+func (h *Hierarchy) refineLevel(lvl int, a partition.Assignment, fmCfg fm.Config, pairwise bool, rng *rand.Rand, sc *fm.Scratch) (partition.Assignment, error) {
+	p, cfg := h.levels[lvl].problem, h.cfg
+	var err error
+	if cfg.RefineWorkers >= 1 {
+		salt := rng.Uint64()
+		cfg.Stats.track(phaseRefineParallel, func() {
+			var res *fm.ParallelResult
+			if res, err = fm.ParallelRefineWith(p, a, fm.Config{Objective: cfg.Objective, Sideways: cfg.RefineSideways}, cfg.RefineWorkers, salt, sc); err == nil {
 				a = res.Assignment
 			}
 		})
-		if err != nil {
-			return nil, fmt.Errorf("multilevel: refining level %d: %w", lvl, err)
+		if lvl > 0 {
+			fmCfg.MaxPasses = 1
 		}
 	}
-	return newResult(h.Root(), a, cfg, len(h.levels)-1), nil
-}
-
-// parallelRounds runs the Config.RefineWorkers synchronous-round stage on one
-// level's problem when enabled, tracked under the refine_parallel phase. The
-// commit-order salt is drawn from rng with exactly one draw per call whatever
-// the worker count, so the RNG stream — and therefore every downstream draw —
-// is identical for all RefineWorkers values >= 1. Disabled (< 1), it returns
-// a unchanged and consumes nothing.
-func parallelRounds(p *partition.Problem, a partition.Assignment, cfg Config, rng *rand.Rand, sc *fm.Scratch) (partition.Assignment, error) {
-	if cfg.RefineWorkers < 1 {
-		return a, nil
+	if err == nil && cfg.LocalizedFMWorkers >= 1 && lvl == 0 {
+		salt := rng.Uint64()
+		cfg.Stats.track(phaseRefineLocalized, func() {
+			var res *fm.LocalizedResult
+			if res, err = fm.LocalizedRefineWith(p, a, fm.Config{Objective: cfg.Objective}, cfg.LocalizedFMWorkers, salt, sc); err == nil {
+				a = res.Assignment
+			}
+		})
+		fmCfg.MaxPasses = 1
 	}
-	salt := rng.Uint64()
-	var res *fm.ParallelResult
-	var err error
-	cfg.Stats.track(phaseRefineParallel, func() {
-		res, err = fm.ParallelRefineWith(p, a, fm.Config{Objective: cfg.Objective, Sideways: cfg.RefineSideways}, cfg.RefineWorkers, salt, sc)
-	})
 	if err != nil {
 		return nil, err
 	}
-	return res.Assignment, nil
-}
-
-// localizedRounds runs the Config.LocalizedFMWorkers localized parallel FM
-// stage when enabled, tracked under the refine_localized phase. The stage
-// only runs at the finest level (lvl 0) — that is where the full-budget
-// serial polish used to dominate every solve (BENCH_prefine.json); coarse
-// levels are cheap enough for the round stage plus a one-pass polish. The
-// salt is drawn from rng with exactly one draw per enabled finest level
-// whatever the worker count, so the RNG stream stays identical for all
-// LocalizedFMWorkers values >= 1. Disabled (< 1) or above the finest level,
-// it returns a unchanged and consumes nothing.
-func localizedRounds(p *partition.Problem, a partition.Assignment, cfg Config, lvl int, rng *rand.Rand, sc *fm.Scratch) (partition.Assignment, error) {
-	if cfg.LocalizedFMWorkers < 1 || lvl != 0 {
-		return a, nil
-	}
-	salt := rng.Uint64()
-	var res *fm.LocalizedResult
-	var err error
-	cfg.Stats.track(phaseRefineLocalized, func() {
-		res, err = fm.LocalizedRefineWith(p, a, fm.Config{Objective: cfg.Objective}, cfg.LocalizedFMWorkers, salt, sc)
+	cfg.Stats.track(phaseRefine, func() {
+		if h.direct {
+			var res *fm.KWayResult
+			if res, err = fm.KWayPartitionWith(p, a, fmCfg, sc); err == nil {
+				a = res.Assignment
+			}
+		} else {
+			var res *fm.Result
+			if res, err = fm.BipartitionWith(p, a, fmCfg, sc); err == nil {
+				a = res.Assignment
+			}
+		}
+		if err == nil && pairwise {
+			a, err = pairwiseRefine(p, a, fmCfg, 2, sc)
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Assignment, nil
-}
-
-// polishConfig caps the serial FM polish to one pass at coarse levels while
-// the parallel round stage is on — the rounds replace the polish's repeated
-// passes there, and the remaining pass contributes the hill-climbing the
-// greedy rounds cannot. The finest level (lvl 0) keeps the full configured
-// pass budget unless the localized FM stage is on: localized searches carry
-// the hill-climbing there, so the serial kernel shrinks to a short one-pass
-// tail that sweeps up whatever the bounded searches left behind.
-func polishConfig(fmCfg fm.Config, cfg Config, lvl int) fm.Config {
-	if cfg.RefineWorkers >= 1 && lvl > 0 {
-		fmCfg.MaxPasses = 1
-	}
-	if cfg.LocalizedFMWorkers >= 1 && lvl == 0 {
-		fmCfg.MaxPasses = 1
-	}
-	return fmCfg
+	return a, err
 }
 
 // followerPassFraction resolves the pass cutoff for follower descents: the

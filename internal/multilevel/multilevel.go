@@ -55,15 +55,14 @@ type Config struct {
 	HugeNetThreshold int
 	// FollowerPassFraction is the pass cutoff (the paper's Table III
 	// mechanism) applied to the uncoarsening refinement of *follower* starts
-	// in SharedMultistart — starts that resample a hierarchy already built
-	// and fully refined by its owner start (default 0.10; set to 1 to give
-	// followers full refinement). It never affects Partition, Multistart or
-	// owner starts, so SharedMultistart with hierarchies == starts
-	// reproduces Multistart exactly.
+	// of a shared-hierarchy Solve — starts that resample a hierarchy already
+	// built and fully refined by its owner start (default 0.10; set to 1 to
+	// give followers full refinement). It never affects Partition or owner
+	// starts, so Plan.Hierarchies == Plan.Starts reproduces the unshared
+	// Solve exactly.
 	FollowerPassFraction float64
-	// Workers bounds the worker pool of ParallelMultistart and
-	// ParallelAdaptiveMultistart (<= 0 means runtime.GOMAXPROCS). It never
-	// affects results: output is bit-identical for every worker count.
+	// Workers bounds Solve's worker pool (<= 0 means runtime.GOMAXPROCS). It
+	// never affects results: output is bit-identical for every worker count.
 	Workers int
 	// CoarsenWorkers parallelizes the inside of each coarsening descent:
 	// heavy-edge matching and contraction split their scans over this many
@@ -180,12 +179,11 @@ type Result struct {
 	Objective fm.Objective
 	// Levels is the number of coarsening levels used (0 = flat).
 	Levels int
-	// Starts is the number of independent starts contributing to this result
-	// (1 for Partition, n for Multistart). For the context-aware drivers it
-	// is the number of starts that actually completed, which may be fewer
-	// than requested when the run was cancelled.
+	// Starts is the number of starts contributing to this result (1 for
+	// Partition, Plan.Starts for Solve). It is fewer than requested when an
+	// adaptive Solve stopped early or the run was cancelled.
 	Starts int
-	// Truncated reports that a context-aware driver was cancelled before all
+	// Truncated reports that Solve's context was cancelled before all
 	// requested starts ran: the result is the best of the completed prefix —
 	// still a valid, feasible partition — but not necessarily the answer the
 	// full run would have returned.
@@ -218,98 +216,14 @@ func newResult(p *partition.Problem, a partition.Assignment, cfg Config, levels 
 // problem p: one coarsening descent (BuildHierarchy) followed by one
 // full-refinement descent over it.
 func Partition(p *partition.Problem, cfg Config, rng *rand.Rand) (*Result, error) {
-	sc := fm.GetScratch()
-	defer fm.PutScratch(sc)
-	return partitionWith(p, cfg, rng, sc)
-}
-
-// partitionWith is Partition running every FM call on a caller-provided
-// scratch; the multistart drivers pin one scratch per worker across starts.
-func partitionWith(p *partition.Problem, cfg Config, rng *rand.Rand, sc *fm.Scratch) (*Result, error) {
 	if p.K != 2 {
 		return nil, fmt.Errorf("multilevel: Partition requires k=2, got k=%d (use RecursiveBisect)", p.K)
 	}
-	if err := p.Validate(); err != nil {
+	eff, err := prepare(p, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.effective()
-	h := buildLevels(p, cfg, bipartitionMaxCluster(p), rng)
-	return h.descendWith(rng, false, sc)
-}
-
-// Multistart runs n independent starts and returns the best result, with
-// ties broken toward the lowest start index.
-//
-// Each start runs on its own RNG derived as rand.NewPCG(seed, startIndex),
-// where the single seed is drawn from rng up front; rng is never shared
-// across starts. This is the same derivation ParallelMultistart uses, so for
-// the same incoming rng state the serial and parallel drivers return
-// bit-identical results.
-func Multistart(p *partition.Problem, cfg Config, starts int, rng *rand.Rand) (*Result, error) {
-	if starts < 1 {
-		starts = 1
-	}
-	baseSeed := rng.Uint64()
-	sc := fm.GetScratch()
-	defer fm.PutScratch(sc)
-	var best *Result
-	for i := 0; i < starts; i++ {
-		res, err := partitionWith(p, cfg, startRNG(baseSeed, i), sc)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || res.Score < best.Score {
-			best = res
-		}
-	}
-	best.Starts = starts
-	return best, nil
-}
-
-// AdaptiveMultistart keeps launching starts until `patience` consecutive
-// starts fail to improve the best cut, up to maxStarts (defaults: patience 2,
-// maxStarts 16). Result.Starts reports how many starts were actually used —
-// an operational answer to the paper's question of how much multistart
-// effort a given instance deserves: in the fixed-terminals regime the loop
-// stops after the minimum patience window, on free instances it keeps
-// paying for improvements.
-//
-// Starts draw per-index RNGs exactly like Multistart, so
-// ParallelAdaptiveMultistart reproduces this loop bit-identically.
-func AdaptiveMultistart(p *partition.Problem, cfg Config, maxStarts, patience int, rng *rand.Rand) (*Result, error) {
-	if maxStarts < 1 {
-		maxStarts = 16
-	}
-	if patience < 1 {
-		patience = 2
-	}
-	baseSeed := rng.Uint64()
-	sc := fm.GetScratch()
-	defer fm.PutScratch(sc)
-	var best *Result
-	stale := 0
-	used := 0
-	for used < maxStarts {
-		res, err := partitionWith(p, cfg, startRNG(baseSeed, used), sc)
-		if err != nil {
-			return nil, err
-		}
-		used++
-		if best == nil || res.Score < best.Score {
-			best = res
-			stale = 0
-		} else {
-			stale++
-			if stale >= patience {
-				break
-			}
-		}
-	}
-	best.Starts = used
-	return best, nil
+	return newHierarchy(p, eff, false, rng).Descend(rng)
 }
 
 // coarsenLevel dispatches one coarsening round to the configured scheme.

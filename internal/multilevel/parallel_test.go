@@ -1,6 +1,7 @@
 package multilevel_test
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -33,6 +34,15 @@ func presetProblem(t *testing.T, name string, scale, fixedFrac float64) *partiti
 	return p
 }
 
+// seed draws a base seed the way the rng-taking entry points do: the first
+// Uint64 of rand.NewPCG(a, b).
+func seed(a, b uint64) uint64 { return rand.New(rand.NewPCG(a, b)).Uint64() }
+
+// solve runs Solve without cancellation.
+func solve(p *partition.Problem, cfg multilevel.Config, plan multilevel.Plan) (*multilevel.Result, error) {
+	return multilevel.Solve(context.Background(), p, cfg, plan)
+}
+
 func sameResult(t *testing.T, label string, want, got *multilevel.Result) {
 	t.Helper()
 	if got.Cut != want.Cut {
@@ -52,10 +62,11 @@ func sameResult(t *testing.T, label string, want, got *multilevel.Result) {
 	}
 }
 
-// TestParallelMultistartMatchesSerial is the determinism contract:
-// ParallelMultistart with 1, 2 and 8 workers returns a bit-identical Result
-// (cut + assignment + starts) to the serial Multistart for the same seed, on
-// free and fixed-terminals instances. Run under -race in CI.
+// TestParallelMultistartMatchesSerial is the determinism contract: Solve
+// with 2 and 8 workers, and the ParallelMultistart shim, return a
+// bit-identical Result (cut + assignment + starts) to the serial Workers: 1
+// run for the same seed, on free and fixed-terminals instances. Run under
+// -race in CI.
 func TestParallelMultistartMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -67,25 +78,30 @@ func TestParallelMultistartMatchesSerial(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := presetProblem(t, "IBM01S", 0.05, tc.fixedFrac)
 			const starts = 6
-			serial, err := multilevel.Multistart(p, multilevel.Config{}, starts, rand.New(rand.NewPCG(7, 7)))
+			plan := multilevel.Plan{Starts: starts, Seed: seed(7, 7)}
+			serial, err := solve(p, multilevel.Config{Workers: 1}, plan)
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				cfg := multilevel.Config{Workers: workers}
-				par, err := multilevel.ParallelMultistart(p, cfg, starts, rand.New(rand.NewPCG(7, 7)))
+			for _, workers := range []int{2, 8} {
+				par, err := solve(p, multilevel.Config{Workers: workers}, plan)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				sameResult(t, tc.name, serial, par)
 			}
+			shim, err := multilevel.ParallelMultistart(p, multilevel.Config{Workers: 2}, starts, rand.New(rand.NewPCG(7, 7)))
+			if err != nil {
+				t.Fatalf("shim: %v", err)
+			}
+			sameResult(t, tc.name+" shim", serial, shim)
 		})
 	}
 }
 
-// TestParallelAdaptiveMatchesSerial checks the speculative-batch adaptive
-// driver preserves the sequential stopping semantics exactly: same best
-// result and same Starts count as the serial loop, for any worker count.
+// TestParallelAdaptiveMatchesSerial checks the adaptive replay preserves the
+// sequential stopping semantics exactly: same best result and same Starts
+// count as the serial Workers: 1 loop, for any worker count.
 func TestParallelAdaptiveMatchesSerial(t *testing.T) {
 	p := presetProblem(t, "IBM01S", 0.05, 0)
 	for _, cfg := range []struct{ maxStarts, patience int }{
@@ -93,13 +109,13 @@ func TestParallelAdaptiveMatchesSerial(t *testing.T) {
 		{10, 3},
 		{1, 1},
 	} {
-		serial, err := multilevel.AdaptiveMultistart(p, multilevel.Config{}, cfg.maxStarts, cfg.patience, rand.New(rand.NewPCG(13, 13)))
+		plan := multilevel.Plan{Starts: cfg.maxStarts, Patience: cfg.patience, Seed: seed(13, 13)}
+		serial, err := solve(p, multilevel.Config{Workers: 1}, plan)
 		if err != nil {
 			t.Fatalf("serial: %v", err)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			mlCfg := multilevel.Config{Workers: workers}
-			par, err := multilevel.ParallelAdaptiveMultistart(p, mlCfg, cfg.maxStarts, cfg.patience, rand.New(rand.NewPCG(13, 13)))
+		for _, workers := range []int{2, 8} {
+			par, err := solve(p, multilevel.Config{Workers: workers}, plan)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -113,9 +129,9 @@ func TestParallelAdaptiveMatchesSerial(t *testing.T) {
 func TestParallelMultistartSmallClusters(t *testing.T) {
 	h := clusters(2, 300, 6)
 	p := partition.NewBipartition(h, 0.02)
-	res, err := multilevel.ParallelMultistart(p, multilevel.Config{Workers: 8}, 3, rand.New(rand.NewPCG(5, 5)))
+	res, err := solve(p, multilevel.Config{Workers: 8}, multilevel.Plan{Starts: 3, Seed: seed(5, 5)})
 	if err != nil {
-		t.Fatalf("ParallelMultistart: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if err := p.Feasible(res.Assignment); err != nil {
 		t.Fatalf("infeasible: %v", err)
@@ -128,18 +144,22 @@ func TestParallelMultistartSmallClusters(t *testing.T) {
 	}
 }
 
-// TestParallelMultistartError: an overconstrained instance must surface the
-// same error the serial driver produces.
+// TestParallelMultistartError: an overconstrained instance must surface an
+// error from plain, adaptive and shared plans alike.
 func TestParallelMultistartError(t *testing.T) {
 	h := clusters(2, 40, 2)
 	p := partition.NewBipartition(h, 0.02)
 	for v := 0; v < h.NumVertices(); v++ {
 		p.Fix(v, 0)
 	}
-	if _, err := multilevel.ParallelMultistart(p, multilevel.Config{Workers: 4}, 4, rand.New(rand.NewPCG(6, 6))); err == nil {
-		t.Error("want error for overconstrained instance")
-	}
-	if _, err := multilevel.ParallelAdaptiveMultistart(p, multilevel.Config{Workers: 4}, 8, 2, rand.New(rand.NewPCG(6, 6))); err == nil {
-		t.Error("adaptive: want error for overconstrained instance")
+	cfg := multilevel.Config{Workers: 4}
+	for name, plan := range map[string]multilevel.Plan{
+		"plain":    {Starts: 4, Seed: seed(6, 6)},
+		"adaptive": {Starts: 8, Patience: 2, Seed: seed(6, 6)},
+		"shared":   {Starts: 4, Hierarchies: 2, Seed: seed(6, 6)},
+	} {
+		if _, err := solve(p, cfg, plan); err == nil {
+			t.Errorf("%s: want error for overconstrained instance", name)
+		}
 	}
 }

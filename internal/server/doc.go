@@ -16,7 +16,7 @@
 //     (multilevel.Config.CoarseningFingerprint) and the hierarchy count.
 //     Repeated requests against the same netlist skip generation/parsing and
 //     coarsening entirely and run refinement-only descents
-//     (multilevel.MultistartOnHierarchies). Hierarchies are immutable, so
+//     (multilevel.Solve with Plan.Prebuilt). Hierarchies are immutable, so
 //     any number of concurrent requests share a cached entry; duplicate
 //     concurrent builds of the same key are collapsed to one (the losers
 //     wait and count as cache hits).

@@ -411,7 +411,7 @@ func (s *Server) run(ctx context.Context, req Request) (*Response, int, string) 
 			name = req.instanceName()
 		}
 		baseSeed := rand.New(rand.NewPCG(req.Seed, 0x6a9d)).Uint64()
-		res, err = multilevel.MultistartOnHierarchies(ctx, hiers, mlCfg, req.Starts, baseSeed)
+		res, err = multilevel.Solve(ctx, prob, mlCfg, multilevel.Plan{Starts: req.Starts, Seed: baseSeed, Prebuilt: hiers})
 	default:
 		// k > 2: direct k-way multistart, uncached (hierarchies are 2-way).
 		cacheKind = "bypass"
@@ -419,8 +419,8 @@ func (s *Server) run(ctx context.Context, req Request) (*Response, int, string) 
 		if err != nil {
 			return nil, buildErrStatus(err), err.Error()
 		}
-		rng := rand.New(rand.NewPCG(req.Seed, 0x6a9d))
-		res, err = multilevel.ParallelMultistartKWayCtx(ctx, prob, mlCfg, req.Starts, rng)
+		baseSeed := rand.New(rand.NewPCG(req.Seed, 0x6a9d)).Uint64()
+		res, err = multilevel.Solve(ctx, prob, mlCfg, multilevel.Plan{Starts: req.Starts, Seed: baseSeed, Direct: true})
 	}
 	if err != nil {
 		if ctx.Err() != nil {
