@@ -31,17 +31,21 @@ func TestForEachWorkerCtxUncancelled(t *testing.T) {
 }
 
 // TestForEachWorkerCtxPreCancelled: a context cancelled before the call
-// dispatches nothing.
+// dispatches nothing. Repeated, because a worker that is already waiting
+// makes an index send ready at the same time as ctx.Done, and select picks
+// between ready cases at random.
 func TestForEachWorkerCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		var ran int32
-		got := par.ForEachWorkerCtx(ctx, 100, workers, func(worker, i int) {
-			atomic.AddInt32(&ran, 1)
-		})
-		if got != 0 || ran != 0 {
-			t.Errorf("workers=%d: dispatched %d, ran %d after pre-cancel", workers, got, ran)
+	for rep := 0; rep < 200; rep++ {
+		for _, workers := range []int{1, 4} {
+			var ran int32
+			got := par.ForEachWorkerCtx(ctx, 100, workers, func(worker, i int) {
+				atomic.AddInt32(&ran, 1)
+			})
+			if got != 0 || ran != 0 {
+				t.Fatalf("workers=%d: dispatched %d, ran %d after pre-cancel", workers, got, ran)
+			}
 		}
 	}
 }

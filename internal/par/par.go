@@ -104,6 +104,11 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int
 	dispatched := 0
 feed:
 	for i := 0; i < n; i++ {
+		// select picks at random among ready cases, so with a worker waiting
+		// it could still hand out an index after ctx is done; check first.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case idx <- i:
 			dispatched++
